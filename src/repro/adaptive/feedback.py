@@ -3,16 +3,16 @@
 After every fetch and bind-chunk the engine records the *actual* rows and
 payload bytes under the node's canonical signature. Entries are EWMA-
 smoothed so a drifting source converges instead of thrashing, bounded by an
-LRU cap, and invalidated by the same ``table.*.changed`` broker events that
-evict the fetch cache. A monotonic `generation` counter advances on every
-*material* change (new signature, large drift, invalidation, clear);
-plan-cache entries remember the generation they were planned at, so a
-calibrated model never serves a stale ordering.
+LRU cap, and invalidated (through `FederatedEngine.invalidate_table`) by the
+same ``table.*.changed`` broker events that evict the fetch cache. A
+monotonic `generation` counter advances on every *material* change (new
+signature, large drift, invalidation, clear); plan-cache entries remember
+the generation they were planned at, so a calibrated model never serves a
+stale ordering.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -136,13 +136,6 @@ class FeedbackStore:
             self._entries.move_to_end(signature)
             return max(entry.per_key, 0.0)
 
-    def calibrated_payload(self, signature: str) -> Optional[float]:
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is None:
-                return None
-            return max(entry.payload_bytes, 0.0)
-
     def entries(self) -> list:
         """Snapshot of entries, most recently used last."""
         with self._lock:
@@ -164,22 +157,6 @@ class FeedbackStore:
             if doomed:
                 self.generation += 1
             return len(doomed)
-
-    def attach(self, broker) -> None:
-        """Subscribe to ``table.<name>.changed`` events (same as the caches)."""
-        broker.subscribe("table.*.changed", self._on_change)
-
-    def _on_change(self, message) -> None:
-        table = None
-        payload = getattr(message, "payload", None)
-        if isinstance(payload, dict):
-            table = payload.get("table")
-        if table is None:
-            topic = getattr(message, "topic", "")
-            if fnmatch.fnmatch(topic, "table.*.changed"):
-                table = topic.split(".", 2)[1]
-        if table:
-            self.invalidate_table(str(table))
 
     def clear(self) -> int:
         """Drop all calibrations (the shell's ``\\feedback clear``)."""

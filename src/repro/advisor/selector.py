@@ -105,7 +105,7 @@ class ViewSelector:
             stats.count += 1
             if not result.from_cache:
                 stats.total_elapsed_s += result.elapsed_seconds
-                stats.result_bytes = max(result.relation.size_bytes(), 1)
+                stats.result_bytes = max(result.result_bytes, 1)
 
     def observe_hit(self, view_name: str) -> None:
         """Record a query answered from a view (ours or user-defined)."""

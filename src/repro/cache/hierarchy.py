@@ -18,10 +18,11 @@ same bounded store (LRU + TTL + byte capacity) instead of an unbounded
 dict.
 
 Fetch- and result-level entries are tagged with the lower-cased names of
-the source tables they were computed from; `invalidate_table` (usually
-driven by `table.<name>.changed` broker events — see `attach`) evicts
-exactly the dependent entries, making stale reads impossible after a
-write through the mediator/EAI path.
+the source tables they were computed from; `invalidate_table` (driven by
+`table.<name>.changed` broker events through
+`FederatedEngine.attach_invalidation`) evicts exactly the dependent
+entries, making stale reads impossible after a write through the
+mediator/EAI path.
 """
 
 from __future__ import annotations
@@ -157,14 +158,6 @@ class CacheHierarchy:
                 result=counts["result"],
             )
         return counts
-
-    def attach(self, broker) -> None:
-        """Subscribe to `table.<name>.changed` events for auto-invalidation."""
-
-        def on_change(message):
-            self.invalidate_table(message.payload["table"])
-
-        broker.subscribe("table.*.changed", on_change)
 
     def clear(self) -> None:
         for store in (self.plans, self.fetches, self.results):

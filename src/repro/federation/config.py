@@ -8,10 +8,8 @@ directly, or start from the defaults and refine with `with_overrides`:
     engine = FederatedEngine(catalog, config)
     faster = config.with_overrides(parallel_workers=8)
 
-The legacy keyword form (`FederatedEngine(catalog, clock=clock, ...)`)
-still works through a deprecation shim that maps the keywords onto an
-`EngineConfig` and emits a `DeprecationWarning`; `repro.connect` is the
-documented construction facade.
+`FederatedEngine` accepts nothing else; `repro.connect(catalog, config,
+**overrides)` is the documented construction facade.
 """
 
 from __future__ import annotations
@@ -44,8 +42,6 @@ class EngineConfig:
     planner: Optional[Any] = None
     #: reject queries predicted to run longer than this (None = admit all)
     admission_budget_s: Optional[float] = None
-    #: legacy whole-result cache TTL; enables the result level when set
-    cache_ttl_s: Optional[float] = None
     #: a `repro.cache.CacheHierarchy` (None = default: plan cache only)
     cache: Optional[Any] = None
     #: the engine clock (None = wall-clock `time.time`; benchmarks pass a
@@ -84,8 +80,3 @@ class EngineConfig:
                 f"unknown EngineConfig field(s): {', '.join(sorted(unknown))}"
             )
         return replace(self, **overrides)
-
-
-#: The keyword names the legacy `FederatedEngine(catalog, **kwargs)` shim
-#: accepts — exactly the `EngineConfig` fields.
-LEGACY_KWARGS = frozenset(spec.name for spec in fields(EngineConfig))

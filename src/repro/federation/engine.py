@@ -2,8 +2,10 @@
 
 The engine runs behind a three-level `repro.cache.CacheHierarchy`:
 whole-result lookups first, then plan reuse, then per-component fetch
-reuse during execution. Attach the hierarchy to an EAI broker (or call
-`FederatedEngine.attach_invalidation`) so writes evict dependent entries.
+reuse during execution. `FederatedEngine.attach_invalidation(broker)`
+subscribes once to `table.<name>.changed` events; each one runs
+`FederatedEngine.invalidate_table`, which expires dependent cache entries,
+adaptive calibrations and materialized views.
 
 Fault tolerance: pass a `ResiliencePolicy` to get bounded retries with
 exponential backoff (on the simulated clock), per-fetch timeouts, a
@@ -16,7 +18,6 @@ see `FederatedResult.completeness` — instead of failing the query.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from repro.engine.cost import CostModel
 from repro.engine.executor import LocalEngine
 from repro.engine.logical import LogicalJoin, LogicalPlan, LogicalUnion
 from repro.federation.catalog import FederationCatalog
-from repro.federation.config import LEGACY_KWARGS, EngineConfig
+from repro.federation.config import EngineConfig
 from repro.federation.nodes import LogicalBindJoin, LogicalFetch, with_in_filter
 from repro.federation.planner import FederatedPlan, FederatedPlanner
 from repro.federation.report import Report, counter_line
@@ -101,6 +102,8 @@ class FederatedResult:
     #: view provenance (`repro.views.ViewProvenance`) when this result was
     #: answered from a materialized view instead of federating
     view: Optional[object] = None
+    #: payload bytes of `relation` as shipped to the client
+    result_bytes: int = 0
 
     @property
     def is_partial(self) -> bool:
@@ -155,12 +158,6 @@ class FederatedResult:
         return self.report(analyze=True).section("analyze").text()
 
 
-def _counter_line(section: str, counters: dict) -> str:
-    return f"{section}: " + ", ".join(
-        f"{key}={value}" for key, value in sorted(counters.items())
-    )
-
-
 class _FetchRuntime:
     """Shared state the fetch/bind-join nodes use during one execution.
 
@@ -182,10 +179,6 @@ class _FetchRuntime:
         #: (None when tracing is off — every trace call site guards on it)
         self.span = None
 
-    @property
-    def _store(self):
-        return self.engine.cache.fetches if self.engine.cache is not None else None
-
     # -- the guarded remote call -------------------------------------------------
 
     def _attempt(self, source, stmt, collector, description):
@@ -194,7 +187,7 @@ class _FetchRuntime:
         Runs on a private collector so a failed or timed-out attempt can be
         accounted without polluting `collector` with a half-recorded
         transfer; on success the private collector is merged in whole.
-        Returns ``(relation, attempt_simulated_seconds)``.
+        Returns ``(relation, attempt_simulated_seconds, payload_bytes)``.
         """
         local = MetricsCollector(network=collector.network)
         try:
@@ -202,11 +195,12 @@ class _FetchRuntime:
         except EIIError:
             collector.merge(local)  # the failed round trip still took time
             raise
+        size = raw.size_bytes()
         local.record_transfer(
             source.name,
             self.site,
             rows=len(raw),
-            payload_bytes=raw.size_bytes(),
+            payload_bytes=size,
             wire_format=source.capabilities.wire_format,
             description=description,
         )
@@ -222,7 +216,7 @@ class _FetchRuntime:
                 timeout_s=timeout,
             )
         collector.merge(local)
-        return raw, local.simulated_seconds
+        return raw, local.simulated_seconds, size
 
     def _candidates(self, node, stmt):
         """The primary, then every replica source able to answer `stmt`."""
@@ -243,8 +237,8 @@ class _FetchRuntime:
     def _remote_fetch(self, node, stmt, collector, description, span=None):
         """Execute `stmt` with retries/breaker/failover per the policy.
 
-        Returns ``(relation, cost_seconds, source_used, stmt_used)``; raises
-        the last candidate's error when every access path is exhausted.
+        Returns ``(relation, cost_seconds, source_used, payload_bytes)``;
+        raises the last candidate's error when every access path is exhausted.
         """
         # The per-source limiter (when attached) bounds how many pool
         # workers may sit inside one source's round trips at a time, so a
@@ -258,14 +252,16 @@ class _FetchRuntime:
         with guard:
             manager = self.engine.resilience
             if manager is None:
-                raw, cost = self._attempt(node.source, stmt, collector, description)
-                return raw, cost, node.source, stmt
+                raw, cost, size = self._attempt(
+                    node.source, stmt, collector, description
+                )
+                return raw, cost, node.source, size
             last_error: Optional[Exception] = None
             for index, (source, candidate_stmt) in enumerate(
                 self._candidates(node, stmt)
             ):
                 try:
-                    raw, cost = manager.run_guarded(
+                    raw, cost, size = manager.run_guarded(
                         source.name,
                         lambda s=source, q=candidate_stmt: self._attempt(
                             s, q, collector, description
@@ -283,7 +279,7 @@ class _FetchRuntime:
                         span.event(
                             "failover", span.offset_from(collector), source=source.name
                         )
-                return raw, cost, source, candidate_stmt
+                return raw, cost, source, size
             assert last_error is not None
             raise last_error
 
@@ -327,22 +323,22 @@ class _FetchRuntime:
 
     # -- fetch / bind-fetch ------------------------------------------------------
 
-    def fetch(
-        self,
-        node: LogicalFetch,
-        metrics: Optional[MetricsCollector] = None,
-        span=None,
-    ) -> Relation:
-        cached = self.local.get(id(node))
-        if cached is not None:
-            return cached
-        collector = metrics if metrics is not None else self.metrics
+    def _fetch_component(self, node, stmt, collector, span, kind, description):
+        """One component query: the fetch cache, else the guarded remote call.
+
+        The single path behind `fetch` and every `bind_fetch` chunk: cache
+        lookup with hit/miss accounting, `_remote_fetch`, failure telemetry
+        and degradation, success telemetry, and the primary-only cache
+        write. Returns ``(rows, payload_bytes, seconds, from_cache,
+        source_used)``, or None when a failed non-essential branch degraded.
+        """
         if span is not None:
             span.clock_base = collector.simulated_seconds
         telemetry = self.engine.telemetry
-        key = fetch_key(node.source.name, node.stmt) if self._store is not None else None
+        cache = self.engine.cache
+        key = fetch_key(node.source.name, stmt) if cache.fetches is not None else None
         if key is not None:
-            entry = self.engine.cache.get_fetch(key)
+            entry = cache.get_fetch(key)
             if entry is not None:
                 collector.fetch_cache_hits += 1
                 collector.cache_seconds_saved += entry.cost_seconds
@@ -358,66 +354,72 @@ class _FetchRuntime:
                         bytes_saved=entry.size_bytes,
                     )
                 self._note_stale_if_down(node, collector, span)
-                if self.report is not None:
-                    self.report.note_answered(node.source.name, node.est_rows)
-                result = Relation(node.schema, entry.value.rows)
-                self.local[id(node)] = result
-                adaptive = self.engine.adaptive
-                if adaptive is not None:
-                    # A cache hit is still a true cardinality observation.
-                    adaptive.observe_fetch(
-                        node,
-                        rows=len(result),
-                        payload_bytes=entry.size_bytes,
-                        seconds=entry.cost_seconds,
-                        from_cache=True,
-                    )
-                return result
+                return (
+                    entry.value.rows,
+                    entry.size_bytes,
+                    entry.cost_seconds,
+                    True,
+                    node.source,
+                )
             collector.fetch_cache_misses += 1
             if span is not None:
                 span.set(cache="miss")
             if telemetry.enabled:
                 telemetry.on_fetch(node.source.name, cache="miss")
         try:
-            raw, cost_seconds, source_used, _ = self._remote_fetch(
-                node, node.stmt, collector, f"fetch from {node.source.name}", span
+            raw, seconds, source_used, size = self._remote_fetch(
+                node, stmt, collector, description, span
             )
         except EIIError as exc:
             if telemetry.enabled and self.engine.resilience is None:
                 # with a resilience manager, per-attempt failures are
                 # already reported through its own hooks
                 telemetry.on_fetch(node.source.name, ok=False)
-            if self._degrade(node, exc, collector, "fetch", span):
-                result = Relation(node.schema, [])
-                self.local[id(node)] = result
-                return result
+            if self._degrade(node, exc, collector, kind, span):
+                return None
             raise
         if telemetry.enabled:
-            telemetry.on_fetch(
-                source_used.name,
-                seconds=cost_seconds,
-                payload_bytes=raw.size_bytes(),
-            )
+            telemetry.on_fetch(source_used.name, seconds=seconds, payload_bytes=size)
         # Only a primary-served fetch is cached: the entry's key and tags
         # describe the primary, and a replica answer must not mask it.
         if key is not None and source_used is node.source:
-            self.engine.cache.put_fetch(
-                key, raw, tags=node.depends_on, cost_seconds=cost_seconds
+            cache.put_fetch(
+                key, raw, tags=node.depends_on, cost_seconds=seconds, size_bytes=size
             )
+        return raw.rows, size, seconds, False, source_used
+
+    def fetch(
+        self,
+        node: LogicalFetch,
+        metrics: Optional[MetricsCollector] = None,
+        span=None,
+    ) -> Relation:
+        cached = self.local.get(id(node))
+        if cached is not None:
+            return cached
+        collector = metrics if metrics is not None else self.metrics
+        outcome = self._fetch_component(
+            node, node.stmt, collector, span, "fetch", f"fetch from {node.source.name}"
+        )
+        if outcome is None:
+            result = Relation(node.schema, [])
+            self.local[id(node)] = result
+            return result
+        rows, size, seconds, from_cache, source_used = outcome
         if self.report is not None:
             self.report.note_answered(source_used.name, node.est_rows)
         # Relabel positionally: the residual plan resolves against the
         # schema of the subtree the fetch replaced.
-        result = Relation(node.schema, raw.rows)
+        result = Relation(node.schema, rows)
         self.local[id(node)] = result
-        adaptive = self.engine.adaptive
-        if adaptive is not None:
-            adaptive.observe_fetch(
+        if self.engine.adaptive is not None:
+            # A cache hit is still a true cardinality observation.
+            self.engine.adaptive.observe_fetch(
                 node,
-                rows=len(result),
-                payload_bytes=raw.size_bytes(),
-                seconds=cost_seconds,
-                from_cache=False,
+                rows=len(rows),
+                payload_bytes=size,
+                seconds=seconds,
+                from_cache=from_cache,
             )
         return result
 
@@ -426,7 +428,6 @@ class _FetchRuntime:
             return Relation(node.fetch_schema, [])
         rows: list[tuple] = []
         tag = getattr(node, "_trace_tag", None)
-        telemetry = self.engine.telemetry
         for chunk_index, start in enumerate(range(0, len(keys), node.max_inlist)):
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
@@ -443,80 +444,27 @@ class _FetchRuntime:
                 )
                 if tag is not None:
                     span.set(node=tag)
-                span.clock_base = self.metrics.simulated_seconds
                 base_seconds = self.metrics.simulated_seconds
                 base_payload = self.metrics.payload_bytes
                 base_wire = self.metrics.wire_bytes
                 base_rows = self.metrics.rows_shipped
             try:
-                key = (
-                    fetch_key(node.source.name, stmt) if self._store is not None else None
-                )
-                if key is not None:
-                    entry = self.engine.cache.get_fetch(key)
-                    if entry is not None:
-                        self.metrics.fetch_cache_hits += 1
-                        self.metrics.cache_seconds_saved += entry.cost_seconds
-                        self.metrics.cache_bytes_saved += entry.size_bytes
-                        if telemetry.enabled:
-                            telemetry.on_fetch(node.source.name, cache="hit")
-                        if span is not None:
-                            span.set(cache="hit")
-                            span.event(
-                                "cache.hit",
-                                span.offset_from(self.metrics),
-                                seconds_saved=entry.cost_seconds,
-                                bytes_saved=entry.size_bytes,
-                            )
-                        self._note_stale_if_down(node, self.metrics, span)
-                        rows.extend(entry.value.rows)
-                        adaptive = self.engine.adaptive
-                        if adaptive is not None:
-                            adaptive.observe_bind_chunk(
-                                node,
-                                keys=len(chunk),
-                                rows=len(entry.value.rows),
-                                payload_bytes=entry.size_bytes,
-                                seconds=entry.cost_seconds,
-                                from_cache=True,
-                            )
-                        continue
-                    self.metrics.fetch_cache_misses += 1
-                    if span is not None:
-                        span.set(cache="miss")
-                    if telemetry.enabled:
-                        telemetry.on_fetch(node.source.name, cache="miss")
                 description = f"bind fetch from {node.source.name} ({len(chunk)} keys)"
-                try:
-                    raw, cost_seconds, source_used, _ = self._remote_fetch(
-                        node, stmt, self.metrics, description, span
-                    )
-                except EIIError as exc:
-                    if telemetry.enabled and self.engine.resilience is None:
-                        telemetry.on_fetch(node.source.name, ok=False)
-                    if self._degrade(node, exc, self.metrics, "bind_chunk", span):
-                        continue  # this chunk's enrichments are lost, not the query
-                    raise
-                if telemetry.enabled:
-                    telemetry.on_fetch(
-                        source_used.name,
-                        seconds=cost_seconds,
-                        payload_bytes=raw.size_bytes(),
-                    )
-                if key is not None and source_used is node.source:
-                    self.engine.cache.put_fetch(
-                        key, raw, tags=node.depends_on, cost_seconds=cost_seconds
-                    )
-                rows.extend(raw.rows)
-                adaptive = self.engine.adaptive
-                if adaptive is not None:
-                    adaptive.observe_bind_chunk(
+                outcome = self._fetch_component(
+                    node, stmt, self.metrics, span, "bind_chunk", description
+                )
+                if outcome is None:
+                    continue  # this chunk's enrichments are lost, not the query
+                chunk_rows, size, seconds, from_cache, _ = outcome
+                rows.extend(chunk_rows)
+                if self.engine.adaptive is not None:
+                    self.engine.adaptive.observe_bind_chunk(
                         node,
                         keys=len(chunk),
-                        rows=len(raw),
-                        payload_bytes=raw.size_bytes(),
-                        seconds=cost_seconds,
-                        from_cache=False,
+                        rows=len(chunk_rows),
+                        payload_bytes=size,
+                        seconds=seconds,
+                        from_cache=from_cache,
                     )
             finally:
                 if span is not None:
@@ -535,62 +483,23 @@ class FederatedEngine:
     """The EII server: plans and executes queries over registered sources."""
 
     def __init__(
-        self,
-        catalog: FederationCatalog,
-        config: Optional[EngineConfig] = None,
-        **legacy,
+        self, catalog: FederationCatalog, config: Optional[EngineConfig] = None
     ):
         """Build an engine over `catalog`, configured by an `EngineConfig`.
 
-        The documented construction path is ``repro.connect(catalog,
-        config=EngineConfig(...))`` (or this constructor with an explicit
-        config). The historical keyword knobs (``clock=``, ``cache=``,
-        ``resilience=``, ...) still work: they are mapped onto the config
-        via `EngineConfig.with_overrides` under a `DeprecationWarning`.
+        ``repro.connect(catalog, config, **overrides)`` is the documented
+        facade over this constructor.
         """
         if config is not None and not isinstance(config, EngineConfig):
-            # historical positional second argument: the network model
-            warnings.warn(
-                "passing the network positionally is deprecated; use "
-                "EngineConfig(network=...)",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                f"config must be an EngineConfig, not {type(config).__name__}"
             )
-            legacy.setdefault("network", config)
-            config = None
-        if legacy:
-            unknown = set(legacy) - LEGACY_KWARGS
-            if unknown:
-                raise TypeError(
-                    "unknown FederatedEngine argument(s): "
-                    + ", ".join(sorted(unknown))
-                )
-            warnings.warn(
-                "FederatedEngine keyword arguments are deprecated; pass an "
-                "EngineConfig (see repro.connect)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config or EngineConfig()).with_overrides(**legacy)
-        if config is None:
-            config = EngineConfig()
-        self.config = config
-
-        network = config.network
-        parallel_workers = config.parallel_workers
-        planner = config.planner
-        adaptive = config.adaptive
-        cache_ttl_s = config.cache_ttl_s
-        cache = config.cache
+        self.config = config = config or EngineConfig()
         clock = config.clock if config.clock is not None else time.time
-        resilience = config.resilience
-        tracer = config.tracer
-        telemetry = config.telemetry
-
         self.catalog = catalog
-        self.network = network or NetworkModel()
-        self.parallel_workers = max(parallel_workers, 1)
-        self.planner = planner or FederatedPlanner(
+        self.network = config.network or NetworkModel()
+        self.parallel_workers = max(config.parallel_workers, 1)
+        self.planner = config.planner or FederatedPlanner(
             catalog,
             network=self.network,
             semijoin=config.semijoin,
@@ -600,7 +509,7 @@ class FederatedEngine:
         #: LPT prefetch scheduling); None keeps the static engine — every
         #: adaptive code path is gated on this, so the default is
         #: byte-identical to the pre-adaptive behavior
-        self.adaptive = self._resolve_adaptive(adaptive)
+        self.adaptive = self._resolve_adaptive(config.adaptive)
         if self.adaptive is not None and self.adaptive.policy.feedback:
             from repro.adaptive import FeedbackCostModel
 
@@ -609,25 +518,16 @@ class FederatedEngine:
             )
         #: reject queries predicted to run longer than this (None = admit all)
         self.admission_budget_s = config.admission_budget_s
-        #: legacy knob: enables the whole-result level with this TTL
-        self.cache_ttl_s = cache_ttl_s
         self.clock = clock
-        if cache is None:
-            # Default: plan caching on (pure win — plans depend only on the
-            # schema); fetch caching off so repeated queries observably
-            # re-hit sources unless the caller opts in; result level only
-            # when the legacy TTL knob asks for it.
-            cache = CacheHierarchy(
-                CacheConfig(
-                    fetch_enabled=False,
-                    result_enabled=cache_ttl_s is not None,
-                    result_ttl_s=cache_ttl_s,
-                ),
-                clock=clock,
-            )
-        self.cache = cache
+        # Default: plan caching on (pure win — plans depend only on the
+        # schema); fetch and result caching off so repeated queries
+        # observably re-hit sources unless the caller opts in.
+        self.cache = config.cache or CacheHierarchy(
+            CacheConfig(fetch_enabled=False, result_enabled=False), clock=clock
+        )
         #: per-source retry/breaker/failover behavior; None = fail fast,
         #: exactly the pre-resilience all-or-nothing engine
+        resilience = config.resilience
         if resilience is None or isinstance(resilience, ResilienceManager):
             self.resilience = resilience
         else:
@@ -648,11 +548,11 @@ class FederatedEngine:
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
         self.tracer = NULL_TRACER
-        self.set_tracer(tracer)
+        self.set_tracer(config.tracer)
         #: observe-only telemetry plane; the no-op default keeps execution
         #: byte-identical to an engine without telemetry (same contract as
         #: `NULL_TRACER` — every call site guards on ``telemetry.enabled``)
-        self.telemetry = resolve_telemetry(telemetry)
+        self.telemetry = resolve_telemetry(config.telemetry)
         if self.telemetry.enabled:
             if self.telemetry.clock is None:
                 # windows roll on the engine's (usually simulated) clock
@@ -785,6 +685,7 @@ class FederatedEngine:
                     elapsed_seconds=0.0,
                     from_cache=True,
                     completeness=hit.completeness,
+                    result_bytes=hit.result_bytes,
                 )
                 if trace is not None:
                     trace.root.set(result_cache="hit", rows=len(hit.relation))
@@ -849,7 +750,7 @@ class FederatedEngine:
                 result_key,
                 result,
                 tags=plan.table_dependencies(),
-                size_bytes=result.relation.size_bytes(),
+                size_bytes=result.result_bytes,
                 cost_seconds=result.elapsed_seconds,
             )
         if view_fallbacks:
@@ -894,11 +795,12 @@ class FederatedEngine:
             metrics.view_stale_serves += 1
         scan_seconds = answer.rows_scanned * HUB_TIME_PER_COST_UNIT_S
         metrics.charge_seconds(scan_seconds)
+        size = answer.relation.size_bytes()
         transfer_seconds = metrics.record_transfer(
             "hub",
             "client",
             rows=len(answer.relation),
-            payload_bytes=answer.relation.size_bytes(),
+            payload_bytes=size,
             description=f"view answer from {answer.view}",
         )
         plan = FederatedPlan(
@@ -907,7 +809,7 @@ class FederatedEngine:
             bind_joins=[],
             assembly_site="hub",
             est_result_rows=float(len(answer.relation)),
-            est_result_bytes=answer.relation.size_bytes(),
+            est_result_bytes=size,
         )
         result = FederatedResult(
             answer.relation,
@@ -915,6 +817,7 @@ class FederatedEngine:
             metrics,
             fetch_seconds=[],
             elapsed_seconds=scan_seconds + transfer_seconds,
+            result_bytes=size,
         )
         result.view = ViewProvenance(
             answer.view, answer.kind, answer.staleness_s, answer.fresh
@@ -934,7 +837,7 @@ class FederatedEngine:
                 result_key,
                 result,
                 tags=answer.tables | {answer.view},
-                size_bytes=answer.relation.size_bytes(),
+                size_bytes=size,
                 cost_seconds=result.elapsed_seconds,
             )
         if self.telemetry.enabled:
@@ -986,20 +889,22 @@ class FederatedEngine:
         return plan, was_cached
 
     def attach_invalidation(self, broker) -> None:
-        """Evict dependent cache entries on `table.<name>.changed` events."""
-        self.cache.attach(broker)
-        if self.adaptive is not None:
-            # Calibrations describe table contents, so they expire with them.
-            self.adaptive.attach(broker)
-        if self.views is not None:
-            # Dirty-mark dependent materialized views dynamically (covers
-            # views defined after attachment, e.g. advisor-created ones).
-            def on_change(message):
-                table = message.payload.get("table")
-                if table:
-                    self.views.on_table_changed(table)
+        """Run `invalidate_table` on every `table.<name>.changed` event."""
+        broker.subscribe(
+            "table.*.changed",
+            lambda message: self.invalidate_table(message.payload["table"]),
+        )
 
-            broker.subscribe("table.*.changed", on_change)
+    def invalidate_table(self, table: str) -> None:
+        """Expire what was derived from `table`'s rows: dependent fetch and
+        result cache entries (plans survive), the table's adaptive
+        calibrations, and every materialized view reading it — including
+        views created after attachment, e.g. advisor-created ones."""
+        self.cache.invalidate_table(table)
+        if self.adaptive is not None:
+            self.adaptive.store.invalidate_table(table)
+        if self.views is not None:
+            self.views.on_table_changed(table)
 
     def predict_elapsed(self, plan: FederatedPlan) -> float:
         """Pre-execution prediction of simulated elapsed seconds.
@@ -1178,11 +1083,12 @@ class FederatedEngine:
         metrics.charge_seconds(assembly_seconds)
 
         wire_before = metrics.wire_bytes
+        size = relation.size_bytes()
         final_transfer = metrics.record_transfer(
             plan.assembly_site,
             "client",
             rows=len(relation),
-            payload_bytes=relation.size_bytes(),
+            payload_bytes=size,
             description="final result to client",
         )
         if execute_span is not None:
@@ -1191,12 +1097,13 @@ class FederatedEngine:
                 "final_transfer",
                 category="transfer",
                 rows=len(relation),
-                payload_bytes=relation.size_bytes(),
+                payload_bytes=size,
                 wire_bytes=metrics.wire_bytes - wire_before,
             )
             transfer_span.self_seconds = final_transfer
         elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
         result = FederatedResult(relation, plan, metrics, fetch_seconds, elapsed)
+        result.result_bytes = size
         result.replan = replan_report
         result.completeness = runtime.report
         if self.resilience is not None:

@@ -54,9 +54,6 @@ class InvertedIndex:
     def __contains__(self, doc_id):
         return doc_id in self._docs
 
-    def text_of(self, doc_id) -> Optional[str]:
-        return self._docs.get(doc_id)
-
     def search(self, query: str, limit: int = 20) -> list[tuple]:
         """Ranked `(doc_id, score)` for the query (tf-idf dot product)."""
         terms = tokenize_text(query)

@@ -296,10 +296,6 @@ def col(ref: str) -> ColumnRef:
     return ColumnRef(ref)
 
 
-def lit(value) -> Literal:
-    return Literal(value)
-
-
 def eq(left: Expr, right: Expr) -> BinaryOp:
     return BinaryOp("=", left, right)
 

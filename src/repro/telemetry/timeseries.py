@@ -149,9 +149,6 @@ class TimeSeries:
     def closed(self) -> int:
         return self._next_index
 
-    def latest(self) -> Optional[Window]:
-        return self.windows[-1] if self.windows else None
-
     def series(self, name: str, field_name: str = "", **labels) -> list:
         """Per-window delta series for one instrument.
 

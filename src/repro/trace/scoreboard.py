@@ -63,11 +63,6 @@ class SourceStats:
     def mean_latency_s(self) -> float:
         return self.seconds / self.fetches if self.fetches else 0.0
 
-    @property
-    def seconds_per_payload_byte(self) -> float:
-        """Observed simulated seconds per shipped payload byte (0 = unknown)."""
-        return self.seconds / self.payload_bytes if self.payload_bytes > 0 else 0.0
-
     def summary(self) -> dict:
         return {
             "fetches": self.fetches,

@@ -4,10 +4,13 @@ Rosenthal (§7): programmers hand-code Read/Notify/Update methods; "It
 should be possible to generate Notify methods automatically." This module
 does exactly that for the read side: a `ChangeNotifier` watches source
 tables (by their monotonic version counters) and publishes
-`table.<name>.changed` events on the EAI broker; `wire_invalidation`
-derives each materialized view's table dependencies *from its own SQL*
-and subscribes it, so views go stale the moment an underlying table
-changes — no hand-written plumbing per view.
+`table.<name>.changed` events on the EAI broker. An engine subscribes once
+with `FederatedEngine.attach_invalidation`, whose handler expires dependent
+caches, calibrations and views together. `wire_invalidation` serves a
+`ViewManager` over any other adapter (e.g. a mediated schema): it derives
+each materialized view's table dependencies *from its own SQL* and
+subscribes them, so views go stale the moment an underlying table changes —
+no hand-written plumbing per view.
 """
 
 from __future__ import annotations
@@ -94,27 +97,11 @@ class ChangeNotifier:
         return changed
 
 
-def wire_cache_invalidation(cache, broker: MessageBroker) -> None:
-    """Evict mediator-cache entries when a table's change event fires.
-
-    `cache` is a `repro.cache.CacheHierarchy` (or anything exposing
-    `invalidate_table`); fetch- and result-level entries tagged with the
-    changed table are dropped, so no query can read through the cache past
-    a write that the broker has announced.
-    """
-
-    def on_change(message):
-        cache.invalidate_table(message.payload["table"])
-
-    broker.subscribe("table.*.changed", on_change)
-
-
 def wire_invalidation(
     manager: ViewManager,
     broker: MessageBroker,
     eager: bool = False,
     mediated_schema=None,
-    cache=None,
 ) -> dict:
     """Subscribe every materialized view to its tables' change events.
 
@@ -122,12 +109,11 @@ def wire_invalidation(
     hand; pass `mediated_schema` so views over GAV virtual tables depend on
     the source tables underneath. `eager=True` refreshes immediately on
     notification; the default marks the view dirty so the next read
-    refreshes (cheaper under bursts). Pass `cache` (a
-    `repro.cache.CacheHierarchy`) to also evict dependent fetch/result
-    cache entries on the same events. Returns `{view: {tables}}`.
+    refreshes (cheaper under bursts). Returns `{view: {tables}}`.
+
+    Dependencies are snapshotted here, so views defined later are not
+    covered; an engine's own views use `FederatedEngine.attach_invalidation`.
     """
-    if cache is not None:
-        wire_cache_invalidation(cache, broker)
     dependencies = {
         name: table_dependencies(manager.view(name).sql, mediated_schema)
         for name in manager.names()

@@ -182,11 +182,12 @@ class TestFeedbackStore:
         assert store.calibrated_per_key("missing") is None
 
     def test_broker_invalidation(self):
-        store = FeedbackStore()
+        engine = FederatedEngine(build_catalog(), EngineConfig(adaptive=True))
+        store = engine.adaptive.store
         store.observe("s1", 10.0, tags=frozenset({"orders"}))
         store.observe("s2", 20.0, tags=frozenset({"customers"}))
         broker = MessageBroker()
-        store.attach(broker)
+        engine.attach_invalidation(broker)
         before = store.generation
         broker.publish("table.orders.changed", {"table": "orders", "version": 2})
         assert store.calibrated_rows("s1") is None

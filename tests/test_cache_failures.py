@@ -172,3 +172,49 @@ class TestBindJoinChunkIsolation:
         # that never succeeded hit the service again
         assert healthy.metrics.fetch_cache_hits == cached_before_retry
         assert injector.calls("creditsvc") == 4  # 2 in run one, 2 in run two
+
+
+class TestOneFetchPath:
+    """A plain fetch and a bind-join chunk share one fetch path, so a cached
+    rerun accounts for both alike: each component call misses once, hits
+    once, and feeds the adaptive store once per run."""
+
+    @pytest.mark.parametrize("sql", [CUSTOMERS_Q, BIND_Q], ids=["fetch", "bind_chunk"])
+    def test_cached_rerun_mirrors_the_first_run(self, sql):
+        clock = SimClock()
+        cache = CacheHierarchy(CacheConfig(result_enabled=False), clock=clock)
+        engine = FederatedEngine(
+            build_catalog(),
+            EngineConfig(clock=clock, cache=cache, telemetry=True, adaptive=True),
+        )
+        observed = []
+        for hook in ("observe_fetch", "observe_bind_chunk"):
+            original = getattr(engine.adaptive, hook)
+
+            def record(node, _hook=hook, _original=original, **kwargs):
+                observed.append((_hook, kwargs["from_cache"]))
+                return _original(node, **kwargs)
+
+            setattr(engine.adaptive, hook, record)
+        plan = engine.planner.plan(sql)
+        for bind in plan.bind_joins:
+            bind.max_inlist = 3  # 8 keys -> 3 chunks
+        first = engine.execute_plan(plan)
+        second = engine.execute_plan(plan)
+
+        calls = [t for t in first.metrics.transfers if t.dst != "client"]
+        assert first.metrics.fetch_cache_misses == second.metrics.fetch_cache_hits
+        assert second.metrics.fetch_cache_hits == len(calls)
+        assert first.metrics.fetch_cache_hits == second.metrics.fetch_cache_misses == 0
+        assert second.metrics.cache_bytes_saved == sum(t.payload_bytes for t in calls)
+        registry = engine.telemetry.registry
+        for source in {t.src for t in calls}:
+            hits = registry.get("eii_cache_hits_total", source=source).value()
+            misses = registry.get("eii_cache_misses_total", source=source).value()
+            assert hits == misses
+        hooks = [hook for hook, _ in observed]
+        assert hooks[: len(calls)] == hooks[len(calls) :]
+        assert [from_cache for _, from_cache in observed] == (
+            [False] * len(calls) + [True] * len(calls)
+        )
+        assert hooks.count("observe_bind_chunk") == (6 if plan.bind_joins else 0)

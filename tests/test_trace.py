@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.cache import CacheConfig, CacheHierarchy
 from repro.federation import EngineConfig, FederatedEngine, ResiliencePolicy
 from repro.netsim import FaultInjector, Outage, SimClock, Transient
 from repro.trace import (
@@ -148,7 +149,8 @@ class TestEndToEndTrace:
         assert prefetch.parallel_slots == 2
 
     def test_result_cache_hit_is_traced_not_executed(self):
-        engine, _ = traced_engine(tracer=Tracer(), cache_ttl_s=60.0)
+        cache = CacheHierarchy(CacheConfig(fetch_enabled=False, result_ttl_s=60.0))
+        engine, _ = traced_engine(tracer=Tracer(), cache=cache)
         engine.query(JOIN_Q)
         hit = engine.query(JOIN_Q)
         assert hit.from_cache

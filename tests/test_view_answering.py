@@ -1,4 +1,4 @@
-"""Answering queries using views: matching, serving, advisor, config shim.
+"""Answering queries using views: matching, serving, advisor, EngineConfig.
 
 The differential oracle at the bottom is the load-bearing test: a
 view-answering engine and a plain engine run the same interleaving of
@@ -234,22 +234,15 @@ class TestServing:
         assert rows(result) == rows(engine.query(ORDERS_BY_STATUS, use_views=False))
 
 
-# -- the EngineConfig facade and deprecation shim ---------------------------------
+# -- the EngineConfig facade ------------------------------------------------------
 
 
 class TestEngineConfigShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.deprecated_call():
-            engine = FederatedEngine(build_catalog(), parallel_workers=2)
-        assert engine.config.parallel_workers == 2
-        assert engine.query("SELECT name FROM customers").relation.rows
-
-    def test_legacy_positional_network_warns(self):
+    def test_non_config_argument_is_a_typeerror(self):
         from repro.netsim import NetworkModel
 
-        with pytest.deprecated_call():
-            engine = FederatedEngine(build_catalog(), NetworkModel())
-        assert engine.query("SELECT name FROM customers").relation.rows
+        with pytest.raises(TypeError, match="EngineConfig"):
+            FederatedEngine(build_catalog(), NetworkModel())
 
     def test_unknown_kwarg_is_a_typeerror(self):
         with pytest.raises(TypeError, match="parallel_wrokers"):

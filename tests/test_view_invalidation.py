@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.cache import CacheConfig, CacheHierarchy
 from repro.eai import MessageBroker
+from repro.sql.parser import parse
 from repro.views import ChangeNotifier, RefreshPolicy, ViewManager, table_dependencies
 from repro.views.invalidation import wire_invalidation
 
@@ -114,3 +116,57 @@ class TestWiring:
         notifier.poll()
         assert manager.view("open_orders").refresh_count == refreshes_before + 1
         assert not manager.view("open_orders").dirty
+
+
+class _CountingBroker(MessageBroker):
+    """Counts handler invocations across every subscription."""
+
+    def __init__(self):
+        super().__init__()
+        self.deliveries = 0
+
+    def subscribe(self, pattern, handler):
+        def counted(message):
+            self.deliveries += 1
+            handler(message)
+
+        super().subscribe(pattern, counted)
+
+
+class TestEngineInvalidation:
+    def test_one_event_expires_caches_calibrations_and_late_views(self):
+        engine = build_engine(
+            cache=CacheHierarchy(CacheConfig()), adaptive=True, auto_materialize=True
+        )
+        broker = _CountingBroker()
+        engine.attach_invalidation(broker)
+        rollup = "SELECT status, SUM(total) AS s FROM orders GROUP BY status"
+        for _ in range(3):
+            # a parsed statement skips the result level, so each run feeds
+            # the advisor, which materializes the rollup after attachment
+            engine.query(parse(rollup))
+        [view] = engine.view_selector.owned_views()
+        join = (
+            "SELECT c.name, o.total FROM customers c "
+            "JOIN orders o ON c.id = o.cust_id"
+        )
+        point = "SELECT name FROM customers WHERE id = 1"
+        engine.query(join)
+        engine.query(point)
+        store = engine.adaptive.store
+        assert any("orders" in entry.tags for entry in store.entries())
+        generation = store.generation
+        assert not engine.views.view(view).dirty
+
+        broker.publish("table.orders.changed", {"table": "orders", "version": 2})
+
+        assert broker.deliveries == 1
+        assert engine.views.view(view).dirty
+        assert not any("orders" in entry.tags for entry in store.entries())
+        assert any("customers" in entry.tags for entry in store.entries())
+        assert store.generation > generation
+        assert engine.query(point).from_cache  # unrelated entries survive
+        rerun = engine.query(join)
+        assert not rerun.from_cache
+        assert rerun.metrics.fetch_cache_hits == 1  # customers still cached
+        assert rerun.metrics.fetch_cache_misses == 1  # orders evicted
