@@ -205,7 +205,13 @@ class LocalEngine:
             child = self.lower(plan.child)
             fns = [compile_expr(item.expr, child.schema) for item in plan.items]
             description = ", ".join(str(item) for item in plan.items)
-            return ProjectOp(child, fns, plan.schema, description)
+            positions = None
+            if all(isinstance(item.expr, ColumnRef) for item in plan.items):
+                positions = [
+                    child.schema.index_of(item.expr.name, item.expr.qualifier)
+                    for item in plan.items
+                ]
+            return ProjectOp(child, fns, plan.schema, description, positions)
 
         if isinstance(plan, LogicalJoin):
             return self._lower_join(plan)

@@ -70,21 +70,24 @@ def _flatten(plan: LogicalPlan):
     """
     inputs: list[LogicalPlan] = []
     predicates: list[Expr] = []
-
-    def recurse(node: LogicalPlan):
-        if isinstance(node, LogicalJoin) and node.kind == "INNER":
-            recurse(node.left)
-            recurse(node.right)
-            if node.condition is not None:
-                predicates.extend(split_conjuncts(node.condition))
-        elif isinstance(node, LogicalFilter) and _is_inner_join_region(node.child):
-            predicates.extend(split_conjuncts(node.predicate))
-            recurse(node.child)
-        else:
-            inputs.append(node)
-
-    recurse(plan)
+    _flatten_into(plan, inputs, predicates)
     return inputs, predicates
+
+
+def _flatten_into(node: LogicalPlan, inputs: list, predicates: list) -> None:
+    # A module-level function rather than a self-referencing closure: the
+    # closure's cell would form a reference cycle holding every plan node
+    # and schema of the query until the cyclic garbage collector ran.
+    if isinstance(node, LogicalJoin) and node.kind == "INNER":
+        _flatten_into(node.left, inputs, predicates)
+        _flatten_into(node.right, inputs, predicates)
+        if node.condition is not None:
+            predicates.extend(split_conjuncts(node.condition))
+    elif isinstance(node, LogicalFilter) and _is_inner_join_region(node.child):
+        predicates.extend(split_conjuncts(node.predicate))
+        _flatten_into(node.child, inputs, predicates)
+    else:
+        inputs.append(node)
 
 
 def _qualifiers(plan: LogicalPlan) -> frozenset:

@@ -9,6 +9,7 @@ that follow the same protocol.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from repro.common.relation import Relation
@@ -159,19 +160,41 @@ class FilterOp(PhysicalOp):
 
 
 class ProjectOp(PhysicalOp):
-    def __init__(self, child: PhysicalOp, fns: Sequence[Callable], schema: RelSchema, description: str = ""):
+    """Evaluates one compiled expression per output column.
+
+    When every output column is a plain child column, `positions` gives
+    their child positions and rows are built by one `itemgetter` call
+    instead of one closure call per cell.
+    """
+
+    def __init__(
+        self,
+        child: PhysicalOp,
+        fns: Sequence[Callable],
+        schema: RelSchema,
+        description: str = "",
+        positions: Optional[Sequence[int]] = None,
+    ):
         self.child = child
         self.fns = list(fns)
         self.schema = schema
         self.description = description
+        self.positions = tuple(positions) if positions else None
 
     @property
     def children(self):
         return (self.child,)
 
     def run(self):
-        fns = self.fns
-        return [tuple(fn(row) for fn in fns) for row in self.child.run()]
+        rows = self.child.run()
+        positions = self.positions
+        if positions is None:
+            fns = self.fns
+            return [tuple(fn(row) for fn in fns) for row in rows]
+        if len(positions) == 1:
+            (position,) = positions
+            return [(row[position],) for row in rows]
+        return list(map(itemgetter(*positions), rows))
 
     def explain_label(self):
         return f"Project({self.description})"

@@ -5,6 +5,18 @@ column positions at compile time, so per-row evaluation does no name
 resolution. NULL follows SQL three-valued logic: comparisons and arithmetic
 over NULL yield NULL, AND/OR use Kleene logic, and `compile_predicate` maps
 the final UNKNOWN to False (the WHERE-clause rule).
+
+Type work is bound at compile time or done once per row by exact type:
+
+* An IN list whose items are all literals, each NULL or of exact type `int`
+  or `str`, is compiled to a frozenset (plus a has-NULL flag). A row value of
+  exact type `int` or `str` then costs one set lookup, which for those types
+  is the same test as `_values_equal`. Any other value (float, bool, date,
+  NaN) takes the linear `_values_equal` loop, so int/float alignment, ints
+  beyond 2**53 and bool-vs-int keep their meaning. Bind joins ship their
+  keys as such lists, and sources test them once per scanned row.
+* A comparison aligns int/float operands (`_align_numeric`) only when the
+  two values differ in type.
 """
 
 from __future__ import annotations
@@ -104,11 +116,17 @@ def compile_expr(expr: Expr, schema: RelSchema) -> Callable:
         inner = compile_expr(expr.operand, schema)
         item_fns = [compile_expr(item, schema) for item in expr.items]
         negated = expr.negated
+        keys = _literal_key_set(expr.items)
+        has_null = keys is not None and any(item.value is None for item in expr.items)
 
         def evaluate_in(row):
             value = inner(row)
             if value is None:
                 return None
+            if keys is not None and type(value) in _HASHED_KEY_TYPES:
+                if value in keys:
+                    return not negated
+                return None if has_null else negated
             found = False
             saw_null = False
             for fn in item_fns:
@@ -231,7 +249,8 @@ def _compile_binary(expr: BinaryOp, schema: RelSchema) -> Callable:
             rhs = right(row)
             if lhs is None or rhs is None:
                 return None
-            lhs, rhs = _align_numeric(lhs, rhs)
+            if type(lhs) is not type(rhs):
+                lhs, rhs = _align_numeric(lhs, rhs)
             try:
                 return compare(lhs, rhs)
             except TypeError as exc:
@@ -284,6 +303,26 @@ def _compile_binary(expr: BinaryOp, schema: RelSchema) -> Callable:
     raise PlanError(f"unknown binary operator {op!r}")
 
 
+#: Exact value types for which `_values_equal` is plain `==` against every
+#: other value of these types, so an IN-list of them can be a hash set.
+#: Subclasses (bool is one of int) and float, date and NaN stay linear.
+_HASHED_KEY_TYPES = frozenset((int, str))
+
+
+def _literal_key_set(items) -> "frozenset | None":
+    """The non-NULL values of an all-literal int/str IN-list, else None."""
+    keys = []
+    for item in items:
+        if not isinstance(item, Literal):
+            return None
+        if item.value is None:
+            continue
+        if type(item.value) not in _HASHED_KEY_TYPES:
+            return None
+        keys.append(item.value)
+    return frozenset(keys)
+
+
 def _values_equal(a, b) -> bool:
     a, b = _align_numeric(a, b)
     try:
@@ -294,6 +333,8 @@ def _values_equal(a, b) -> bool:
 
 def _align_numeric(a, b):
     """Allow int/float cross-comparison while keeping bool distinct."""
+    if type(a) is type(b):
+        return a, b
     if isinstance(a, bool) or isinstance(b, bool):
         return a, b
     if isinstance(a, int) and isinstance(b, float):

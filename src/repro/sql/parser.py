@@ -40,12 +40,20 @@ from repro.sql.lexer import Token, tokenize
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
+#: Deepest nesting of parentheses, function arguments, IN lists and CASE
+#: parts the parser accepts (the grammar has no subqueries). Each level
+#: costs this recursive-descent parser eight or nine Python frames, so the
+#: limit refuses deeper text with a `ParseError` before the interpreter's
+#: recursion limit (1000 frames by default) would raise `RecursionError`.
+MAX_NESTING_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -296,13 +304,22 @@ class _Parser:
     # additive (+ - ||), multiplicative (* / %), unary minus, primary.
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        """An OR chain: the entry of every nested expression.
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.accept_keyword("OR"):
-            left = BinaryOp("OR", left, self.parse_and())
-        return left
+        Parentheses, function arguments, IN lists and CASE parts all come
+        back here, so `depth` counts how deeply they nest (0 at statement
+        level). The check costs no stack frame of its own.
+        """
+        if self.depth > MAX_NESTING_DEPTH:
+            self.fail(f"expression nested more than {MAX_NESTING_DEPTH} levels deep")
+        self.depth += 1
+        try:
+            left = self.parse_and()
+            while self.accept_keyword("OR"):
+                left = BinaryOp("OR", left, self.parse_and())
+            return left
+        finally:
+            self.depth -= 1
 
     def parse_and(self) -> Expr:
         left = self.parse_not()

@@ -15,6 +15,7 @@ package.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 
@@ -30,14 +31,18 @@ def instrument_physical(root) -> None:
     Instance-attribute shadowing: the wrapped callable is stored on the
     operator instance, so parents invoking ``self.child.run()`` hit it
     without any change to the operator classes. Used only when tracing is
-    on, so the untraced hot path stays untouched.
+    on, so the untraced hot path stays untouched. The wrapper holds its
+    operator weakly: a strong reference from the instance's own attribute
+    would make every traced plan a reference cycle, freed only when the
+    cyclic garbage collector runs.
     """
     for op in _walk_ops(root):
         if getattr(op, "_trace_wrapped", False):
             continue
 
-        def wrapped(original=op.run, op=op):
-            rows = original()
+        def wrapped(run=type(op).run, op_ref=weakref.ref(op)):
+            op = op_ref()
+            rows = run(op)
             op.actual_rows = len(rows)
             return rows
 

@@ -4,7 +4,7 @@ import datetime
 
 import pytest
 
-from repro.common.errors import ParseError
+from repro.common.errors import EIIError, ParseError
 from repro.sql import (
     Between,
     BinaryOp,
@@ -26,6 +26,8 @@ from repro.sql import (
     parse_select,
     tokenize,
 )
+from repro.sql.parser import MAX_NESTING_DEPTH
+from tests.federation_fixtures import build_engine
 
 
 class TestLexer:
@@ -235,3 +237,36 @@ class TestDmlParsing:
     def test_unknown_statement(self):
         with pytest.raises(ParseError):
             parse("CREATE TABLE t (x INT)")
+
+
+class TestNestingLimit:
+    """Deep nesting is refused with a typed error, not a RecursionError."""
+
+    @staticmethod
+    def nested_where(depth: int) -> str:
+        return "SELECT id FROM customers WHERE " + "(" * depth + "id = 3" + ")" * depth
+
+    def test_hundred_levels_parse_and_answer(self, engine):
+        sql = self.nested_where(100)
+        assert parse_select(sql).where == BinaryOp("=", ColumnRef("id"), Literal(3))
+        assert engine.query(sql).rows == [(3,)]
+        assert build_engine().query(sql).relation.rows == [(3,)]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 500 + "a = 1" + ")" * 500,
+            "ABS(" * 500 + "a" + ")" * 500 + " = 1",
+            "a IN (" * 500 + "1" + ")" * 500,
+            "CASE WHEN " * 500 + "a = 1" + " THEN 1 END" * 500,
+        ],
+        ids=["parentheses", "function_arguments", "in_lists", "case"],
+    )
+    def test_deeper_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested more than") as info:
+            parse_select("SELECT a FROM t WHERE " + text)
+        assert isinstance(info.value, EIIError)
+
+    def test_one_level_past_the_limit_is_refused(self):
+        with pytest.raises(ParseError):
+            parse_expression("(" * (MAX_NESTING_DEPTH + 1) + "1" + ")" * (MAX_NESTING_DEPTH + 1))

@@ -7,6 +7,7 @@ fault schedule serialize byte-for-byte identically; and the no-op tracer
 changes neither results nor metrics.
 """
 
+import gc
 import json
 
 import pytest
@@ -246,6 +247,28 @@ class TestExplainAnalyze:
         result = engine.query(JOIN_Q)
         assert result.physical.actual_rows == len(result.relation)
         assert "rows=" in result.explain_analyze()
+
+    @pytest.mark.parametrize(
+        "sql, fresh",
+        [(JOIN_Q, JOIN_Q + " AND c.id > 0"), (BIND_Q, BIND_Q + " WHERE c.id > 0")],
+        ids=["hash_join", "bind_join"],
+    )
+    def test_traced_query_leaves_no_reference_cycles(self, sql, fresh):
+        # Join-order planning and instrumented operators must free their
+        # objects by reference counting alone, not leave the whole plan to
+        # the cycle collector. `fresh` misses the plan cache, so it is
+        # planned as well as executed.
+        engine, _ = traced_engine(tracer=Tracer())
+        engine.query(sql)
+        gc.collect()
+        gc.disable()
+        try:
+            result = engine.query(fresh)
+            assert result.physical.actual_rows == len(result.relation)
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_untraced_result_explains_unavailable(self):
         engine, _ = traced_engine()
