@@ -30,7 +30,7 @@ from repro.sched import (
     WorkloadScheduler,
     make_workload,
 )
-from repro.trace.scoreboard import percentile
+from repro.telemetry.stats import percentile
 
 #: the 100-query dashboard-heavy mixed workload, bursty enough to overlap
 QUERIES = 100

@@ -110,31 +110,36 @@ def _reconsider_bind_joins(root, cost_model, max_bind_keys: int):
     estimates. Required bind joins are untouchable — key-driven lookup is
     their only access path.
     """
-    converted = 0
+    converted: list = []
+    return _rebuild(root, cost_model, max_bind_keys, converted), len(converted)
 
-    def rebuild(node):
-        nonlocal converted
-        children = [rebuild(child) for child in node.children]
-        if children:
-            node = node.with_children(children)
-        if (
-            isinstance(node, LogicalBindJoin)
-            and not getattr(node, "required", False)
-            and cost_model.estimate(node.left).rows > max_bind_keys
-        ):
-            fetch = LogicalFetch(
-                node.template,
-                node.source,
-                node.fetch_schema,
-                est_rows=node.est_rows,
-                depends_on=node.depends_on,
-                tables=node.tables,
-            )
-            fetch.degradable = node.degradable
-            conjuncts = [BinaryOp("=", node.left_key, node.right_key)]
-            conjuncts.extend(split_conjuncts(node.residual))
-            converted += 1
-            return LogicalJoin(node.left, fetch, node.kind, conjoin(conjuncts))
-        return node
 
-    return rebuild(root), converted
+def _rebuild(node, cost_model, max_bind_keys: int, converted: list):
+    # A module-level function rather than a self-referencing closure: the
+    # closure's cell would form a reference cycle holding the rebuilt plan
+    # until the cyclic garbage collector ran.
+    children = [
+        _rebuild(child, cost_model, max_bind_keys, converted)
+        for child in node.children
+    ]
+    if children:
+        node = node.with_children(children)
+    if (
+        isinstance(node, LogicalBindJoin)
+        and not getattr(node, "required", False)
+        and cost_model.estimate(node.left).rows > max_bind_keys
+    ):
+        fetch = LogicalFetch(
+            node.template,
+            node.source,
+            node.fetch_schema,
+            est_rows=node.est_rows,
+            depends_on=node.depends_on,
+            tables=node.tables,
+        )
+        fetch.degradable = node.degradable
+        conjuncts = [BinaryOp("=", node.left_key, node.right_key)]
+        conjuncts.extend(split_conjuncts(node.residual))
+        converted.append(node)
+        return LogicalJoin(node.left, fetch, node.kind, conjoin(conjuncts))
+    return node

@@ -13,6 +13,11 @@ per-source circuit breaker, and failover to catalog-registered replicas.
 With `partial_results=True`, a failed *non-essential* branch (a union arm
 or an outer-join enrichment) degrades to an annotated partial result —
 see `FederatedResult.completeness` — instead of failing the query.
+
+Observation has one path per grain: each event of a component fetch is
+one `_FetchObserver` call, feeding the metrics collector, trace span,
+telemetry plane and completeness report in a fixed order; every query
+leaves through `_finish_query`, which finishes its trace and reports it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Optional, Union
 
 from repro.cache import CacheConfig, CacheHierarchy, canonical_statement, fetch_key
@@ -53,26 +60,10 @@ from repro.sql.printer import to_sql
 from repro.storage.catalog import Database
 from repro.telemetry.plane import resolve_telemetry
 from repro.trace import NULL_TRACER, Tracer, explain_analyze, instrument_physical
+from repro.trace.span import makespan
 
 #: Simulated seconds per local cost unit at the assembly site.
 HUB_TIME_PER_COST_UNIT_S = 2e-6
-
-
-def parallel_makespan(durations: list, workers: int) -> float:
-    """Elapsed time of running `durations` on `workers` parallel slots.
-
-    Simple list scheduling in submission order — the same policy the thread
-    pool uses — so the simulated clock matches what the executor actually
-    overlaps.
-    """
-    if not durations:
-        return 0.0
-    workers = max(workers, 1)
-    slots = [0.0] * min(workers, len(durations))
-    for duration in durations:
-        slot = min(range(len(slots)), key=lambda i: slots[i])
-        slots[slot] += duration
-    return max(slots)
 
 
 @dataclass
@@ -158,6 +149,114 @@ class FederatedResult:
         return self.report(analyze=True).section("analyze").text()
 
 
+#: a collector's running totals that a fetch or bind-chunk span reports
+_TOTALS = attrgetter("simulated_seconds", "rows_shipped", "payload_bytes", "wire_bytes")
+
+
+class _FetchObserver:
+    """The one fan-out for a component fetch's events.
+
+    Each event method feeds the fetch's collector first (so a span event's
+    offset includes the seconds the event charged), then the span (None
+    when untraced), the telemetry plane (whose null default is a no-op) and
+    the completeness report. `close()` stamps the span with what the
+    collector gained meanwhile.
+    """
+
+    __slots__ = ("collector", "span", "engine", "report", "cache", "_base")
+
+    def __init__(self, runtime, collector: MetricsCollector, span=None):
+        self.collector = collector
+        self.span = span
+        self.engine = runtime.engine
+        self.report = runtime.report
+        #: "miss" once the fetch cache missed; reported with the outcome
+        self.cache = ""
+        if span is not None:
+            self._base = _TOTALS(collector)
+
+    def _span(self, marks: dict, event: str = "", **attrs) -> None:
+        """Set `marks` on the span and add `event` to it, timed "now"."""
+        span = self.span
+        if span is not None:
+            span.set(**marks)
+            if event:
+                offset = self.collector.simulated_seconds - self._base[0]
+                span.event(event, offset, **attrs)
+
+    def cache_hit(self, source: str, entry) -> None:
+        collector = self.collector
+        collector.fetch_cache_hits += 1
+        collector.cache_seconds_saved += entry.cost_seconds
+        collector.cache_bytes_saved += entry.size_bytes
+        self.engine.telemetry.on_fetch(source, cache="hit")
+        saved = {"seconds_saved": entry.cost_seconds, "bytes_saved": entry.size_bytes}
+        self._span({"cache": "hit"}, "cache.hit", **saved)
+
+    def cache_miss(self) -> None:
+        self.collector.fetch_cache_misses += 1
+        self.cache = "miss"
+        self._span({"cache": "miss"})
+
+    def stale_hit(self, tables) -> None:
+        self.collector.stale_cache_hits += 1
+        self._span({}, "cache.stale_hit")
+        if self.report is not None:
+            self.report.note_stale(tables)
+
+    def remote_success(self, source: str, served_by: str, seconds, size) -> None:
+        self.engine.telemetry.on_fetch(
+            source, seconds, size, cache=self.cache, served_by=served_by
+        )
+
+    def remote_failure(self, source: str) -> None:
+        # a resilience manager already reported each failed attempt
+        ok = False if self.engine.resilience is None else None
+        if ok is not None or self.cache:
+            self.engine.telemetry.on_fetch(source, cache=self.cache, ok=ok)
+
+    def failover(self, source: str) -> None:
+        self.collector.failovers += 1
+        self._span({"failover_to": source}, "failover", source=source)
+
+    def degraded(self, node, error, kind: str) -> None:
+        self.collector.degraded_fetches += 1
+        self._span({"degraded": True}, "degraded", kind=kind, error=str(error))
+        if self.report is not None:
+            self.report.note_skipped(
+                node.source.name, node.tables, error, node.est_rows, kind
+            )
+
+    def breaker_rejected(self, source: str) -> None:
+        self.collector.breaker_short_circuits += 1
+        self.engine.telemetry.on_breaker_short_circuit(source)
+        self._span({}, "breaker.open", source=source)
+
+    def source_failure(self, source: str, attempt: int, error) -> None:
+        self.collector.source_failures += 1
+        self.engine.telemetry.on_source_failure(source)
+        self._span(
+            {}, "source_failure", source=source, attempt=attempt, error=str(error)
+        )
+
+    def retry(self, source: str, attempt: int, backoff_s: float) -> None:
+        collector = self.collector
+        collector.retries += 1
+        collector.backoff_seconds += backoff_s
+        collector.charge_seconds(backoff_s)
+        self.engine.telemetry.on_retry(source, backoff_s=backoff_s)
+        self._span({}, "retry", source=source, attempt=attempt, backoff_s=backoff_s)
+
+    def close(self) -> None:
+        span = self.span
+        if span is not None:
+            seconds, rows, payload, wire = (
+                now - base for now, base in zip(_TOTALS(self.collector), self._base)
+            )
+            span.self_seconds = seconds
+            span.set(rows=rows, payload_bytes=payload, wire_bytes=wire)
+
+
 class _FetchRuntime:
     """Shared state the fetch/bind-join nodes use during one execution.
 
@@ -176,7 +275,7 @@ class _FetchRuntime:
         self.local: dict[int, Relation] = {}
         self.report: Optional[CompletenessReport] = None
         #: span for the assembly phase; bind-join chunk spans attach here
-        #: (None when tracing is off — every trace call site guards on it)
+        #: (None when tracing is off)
         self.span = None
 
     # -- the guarded remote call -------------------------------------------------
@@ -234,7 +333,7 @@ class _FetchRuntime:
                 rename[primary_local] = mapping[global_name]
             yield source, rename_statement_tables(stmt, rename)
 
-    def _remote_fetch(self, node, stmt, collector, description, span=None):
+    def _remote_fetch(self, node, stmt, observer, description):
         """Execute `stmt` with retries/breaker/failover per the policy.
 
         Returns ``(relation, cost_seconds, source_used, payload_bytes)``;
@@ -249,178 +348,107 @@ class _FetchRuntime:
         guard = (
             limiter.slot(node.source.name) if limiter is not None else nullcontext()
         )
+        collector = observer.collector
+        manager = self.engine.resilience
         with guard:
-            manager = self.engine.resilience
-            if manager is None:
-                raw, cost, size = self._attempt(
-                    node.source, stmt, collector, description
-                )
-                return raw, cost, node.source, size
             last_error: Optional[Exception] = None
-            for index, (source, candidate_stmt) in enumerate(
-                self._candidates(node, stmt)
-            ):
+            for index, (source, candidate) in enumerate(self._candidates(node, stmt)):
+                attempt = partial(
+                    self._attempt, source, candidate, collector, description
+                )
                 try:
-                    raw, cost, size = manager.run_guarded(
-                        source.name,
-                        lambda s=source, q=candidate_stmt: self._attempt(
-                            s, q, collector, description
-                        ),
-                        collector,
-                        span=span,
-                    )
+                    if manager is None:  # fail fast: the primary is the only candidate
+                        raw, cost, size = attempt()
+                    else:
+                        raw, cost, size = manager.run_guarded(
+                            source.name, attempt, observer
+                        )
                 except SourceError as exc:
                     last_error = exc
                     continue
                 if index > 0:
-                    collector.failovers += 1
-                    if span is not None:
-                        span.set(failover_to=source.name)
-                        span.event(
-                            "failover", span.offset_from(collector), source=source.name
-                        )
+                    observer.failover(source.name)
                 return raw, cost, source, size
             assert last_error is not None
             raise last_error
 
-    def _degrade(self, node, error, collector, kind, span=None) -> bool:
-        """Record a skipped non-essential branch; True when degradation applies."""
-        if not self.engine.partial_results or not getattr(node, "degradable", False):
-            return False
-        collector.degraded_fetches += 1
-        if span is not None:
-            span.set(degraded=True)
-            span.event(
-                "degraded", span.offset_from(collector), kind=kind, error=str(error)
-            )
-        if self.report is not None:
-            self.report.note_skipped(
-                node.source.name, node.tables, error, node.est_rows, kind
-            )
-        return True
-
-    def _note_stale_if_down(self, node, collector, span=None) -> None:
-        """Annotate a cache hit whose every access path is currently down.
-
-        A fetch served from cache never touches a breaker — but when the
-        primary's breaker is open and no replica could answer either, the
-        caller must know this answer *cannot currently be re-validated*.
-        """
-        manager = self.engine.resilience
-        if manager is None or not manager.source_down(node.source.name):
-            return
-        if manager.policy.failover:
-            for source, _ in self.engine.catalog.failover_candidates(
-                node.source.name, node.tables
-            ):
-                if not manager.source_down(source.name):
-                    return
-        collector.stale_cache_hits += 1
-        if span is not None:
-            span.event("cache.stale_hit", span.offset_from(collector))
-        if self.report is not None:
-            self.report.note_stale(node.tables or node.depends_on)
-
     # -- fetch / bind-fetch ------------------------------------------------------
 
-    def _fetch_component(self, node, stmt, collector, span, kind, description):
+    def _fetch_component(self, node, stmt, observer, kind, description, keys=0):
         """One component query: the fetch cache, else the guarded remote call.
 
         The single path behind `fetch` and every `bind_fetch` chunk: cache
-        lookup with hit/miss accounting, `_remote_fetch`, failure telemetry
-        and degradation, success telemetry, and the primary-only cache
-        write. Returns ``(rows, payload_bytes, seconds, from_cache,
-        source_used)``, or None when a failed non-essential branch degraded.
+        lookup, `_remote_fetch`, degradation of a failed non-essential
+        branch, the primary-only cache write, and the adaptive store's (and
+        for a whole fetch, the completeness report's) record of the answer.
+        Returns the fetched rows; a degraded branch has none.
         """
-        if span is not None:
-            span.clock_base = collector.simulated_seconds
-        telemetry = self.engine.telemetry
         cache = self.engine.cache
         key = fetch_key(node.source.name, stmt) if cache.fetches is not None else None
-        if key is not None:
-            entry = cache.get_fetch(key)
-            if entry is not None:
-                collector.fetch_cache_hits += 1
-                collector.cache_seconds_saved += entry.cost_seconds
-                collector.cache_bytes_saved += entry.size_bytes
-                if telemetry.enabled:
-                    telemetry.on_fetch(node.source.name, cache="hit")
-                if span is not None:
-                    span.set(cache="hit")
-                    span.event(
-                        "cache.hit",
-                        span.offset_from(collector),
-                        seconds_saved=entry.cost_seconds,
-                        bytes_saved=entry.size_bytes,
-                    )
-                self._note_stale_if_down(node, collector, span)
-                return (
-                    entry.value.rows,
-                    entry.size_bytes,
-                    entry.cost_seconds,
-                    True,
-                    node.source,
+        entry = cache.get_fetch(key) if key is not None else None
+        hit = entry is not None
+        if hit:
+            observer.cache_hit(node.source.name, entry)
+            # A hit never touches a breaker; but when every access path is
+            # down, the answer cannot be re-validated now: it may be stale.
+            manager = self.engine.resilience
+            if manager is not None and all(
+                manager.source_down(source.name)
+                for source, _ in self._candidates(node, stmt)
+            ):
+                observer.stale_hit(node.tables or node.depends_on)
+            rows, size, seconds = entry.value.rows, entry.size_bytes, entry.cost_seconds
+            source_used = node.source
+        else:
+            if key is not None:
+                observer.cache_miss()
+            try:
+                raw, seconds, source_used, size = self._remote_fetch(
+                    node, stmt, observer, description
                 )
-            collector.fetch_cache_misses += 1
-            if span is not None:
-                span.set(cache="miss")
-            if telemetry.enabled:
-                telemetry.on_fetch(node.source.name, cache="miss")
-        try:
-            raw, seconds, source_used, size = self._remote_fetch(
-                node, stmt, collector, description, span
+            except EIIError as exc:
+                observer.remote_failure(node.source.name)
+                degradable = getattr(node, "degradable", False)
+                if not (self.engine.partial_results and degradable):
+                    raise
+                observer.degraded(node, exc, kind)
+                return []  # a skipped non-essential branch
+            observer.remote_success(node.source.name, source_used.name, seconds, size)
+            # Only a primary-served fetch is cached: the entry's key and tags
+            # describe the primary, and a replica answer must not mask it.
+            if key is not None and source_used is node.source:
+                cache.put_fetch(
+                    key,
+                    raw,
+                    tags=node.depends_on,
+                    cost_seconds=seconds,
+                    size_bytes=size,
+                )
+            rows = raw.rows
+        if kind == "fetch" and self.report is not None:
+            self.report.note_answered(source_used.name, node.est_rows)
+        adaptive = self.engine.adaptive
+        if adaptive is not None:  # a cache hit's row count is a true observation
+            facts = dict(
+                rows=len(rows), payload_bytes=size, seconds=seconds, from_cache=hit
             )
-        except EIIError as exc:
-            if telemetry.enabled and self.engine.resilience is None:
-                # with a resilience manager, per-attempt failures are
-                # already reported through its own hooks
-                telemetry.on_fetch(node.source.name, ok=False)
-            if self._degrade(node, exc, collector, kind, span):
-                return None
-            raise
-        if telemetry.enabled:
-            telemetry.on_fetch(source_used.name, seconds=seconds, payload_bytes=size)
-        # Only a primary-served fetch is cached: the entry's key and tags
-        # describe the primary, and a replica answer must not mask it.
-        if key is not None and source_used is node.source:
-            cache.put_fetch(
-                key, raw, tags=node.depends_on, cost_seconds=seconds, size_bytes=size
-            )
-        return raw.rows, size, seconds, False, source_used
+            if kind == "fetch":
+                adaptive.observe_fetch(node, **facts)
+            else:
+                adaptive.observe_bind_chunk(node, keys=keys, **facts)
+        return rows
 
-    def fetch(
-        self,
-        node: LogicalFetch,
-        metrics: Optional[MetricsCollector] = None,
-        span=None,
-    ) -> Relation:
+    def fetch(self, node: LogicalFetch, observer=None) -> Relation:
         cached = self.local.get(id(node))
         if cached is not None:
             return cached
-        collector = metrics if metrics is not None else self.metrics
-        outcome = self._fetch_component(
-            node, node.stmt, collector, span, "fetch", f"fetch from {node.source.name}"
-        )
-        if outcome is None:
-            result = Relation(node.schema, [])
-            self.local[id(node)] = result
-            return result
-        rows, size, seconds, from_cache, source_used = outcome
-        if self.report is not None:
-            self.report.note_answered(source_used.name, node.est_rows)
+        observer = observer or _FetchObserver(self, self.metrics)
+        description = f"fetch from {node.source.name}"
+        rows = self._fetch_component(node, node.stmt, observer, "fetch", description)
         # Relabel positionally: the residual plan resolves against the
         # schema of the subtree the fetch replaced.
         result = Relation(node.schema, rows)
         self.local[id(node)] = result
-        if self.engine.adaptive is not None:
-            # A cache hit is still a true cardinality observation.
-            self.engine.adaptive.observe_fetch(
-                node,
-                rows=len(rows),
-                payload_bytes=size,
-                seconds=seconds,
-                from_cache=from_cache,
-            )
         return result
 
     def bind_fetch(self, node: LogicalBindJoin, keys: list) -> Relation:
@@ -432,7 +460,6 @@ class _FetchRuntime:
             chunk = keys[start : start + node.max_inlist]
             stmt = with_in_filter(node.template, node.right_key, chunk)
             span = None
-            base_seconds = base_payload = base_wire = base_rows = 0
             if self.span is not None:
                 span = self.span.child(
                     f"bind_fetch:{node.source.name}",
@@ -444,36 +471,18 @@ class _FetchRuntime:
                 )
                 if tag is not None:
                     span.set(node=tag)
-                base_seconds = self.metrics.simulated_seconds
-                base_payload = self.metrics.payload_bytes
-                base_wire = self.metrics.wire_bytes
-                base_rows = self.metrics.rows_shipped
+            observer = _FetchObserver(self, self.metrics, span)
+            description = f"bind fetch from {node.source.name} ({len(chunk)} keys)"
             try:
-                description = f"bind fetch from {node.source.name} ({len(chunk)} keys)"
-                outcome = self._fetch_component(
-                    node, stmt, self.metrics, span, "bind_chunk", description
+                # a degraded chunk loses its enrichments, not the query
+                rows.extend(
+                    self._fetch_component(
+                        node, stmt, observer, "bind_chunk", description, len(chunk)
+                    )
                 )
-                if outcome is None:
-                    continue  # this chunk's enrichments are lost, not the query
-                chunk_rows, size, seconds, from_cache, _ = outcome
-                rows.extend(chunk_rows)
-                if self.engine.adaptive is not None:
-                    self.engine.adaptive.observe_bind_chunk(
-                        node,
-                        keys=len(chunk),
-                        rows=len(chunk_rows),
-                        payload_bytes=size,
-                        seconds=seconds,
-                        from_cache=from_cache,
-                    )
             finally:
-                if span is not None:
-                    span.self_seconds = self.metrics.simulated_seconds - base_seconds
-                    span.set(
-                        payload_bytes=self.metrics.payload_bytes - base_payload,
-                        wire_bytes=self.metrics.wire_bytes - base_wire,
-                        rows=self.metrics.rows_shipped - base_rows,
-                    )
+                observer.close()
+        # the chunks are one answer: the bind source is noted once
         if self.report is not None:
             self.report.note_answered(node.source.name, node.est_rows)
         return Relation(node.fetch_schema, rows)
@@ -547,11 +556,10 @@ class FederatedEngine:
         self._analyzer = None
         self._scratch = Database("assembly")
         self._local = LocalEngine(self._scratch, optimize=False)
-        self.tracer = NULL_TRACER
         self.set_tracer(config.tracer)
         #: observe-only telemetry plane; the no-op default keeps execution
         #: byte-identical to an engine without telemetry (same contract as
-        #: `NULL_TRACER` — every call site guards on ``telemetry.enabled``)
+        #: `NULL_TRACER`)
         self.telemetry = resolve_telemetry(config.telemetry)
         if self.telemetry.enabled:
             if self.telemetry.clock is None:
@@ -688,13 +696,8 @@ class FederatedEngine:
                     result_bytes=hit.result_bytes,
                 )
                 if trace is not None:
-                    trace.root.set(result_cache="hit", rows=len(hit.relation))
                     trace.root.event("cache.result_hit")
-                    tracer.finish(trace)
-                    result.trace = trace
-                if self.telemetry.enabled:
-                    self.telemetry.on_query("cached", rows=len(hit.relation))
-                    self.telemetry.tick(self.clock())
+                self._finish_query("cached", result, trace, tracer, result_cache="hit")
                 return result
         view_fallbacks: list = []
         if use_views and self._answering is not None:
@@ -709,11 +712,11 @@ class FederatedEngine:
         if trace is not None:
             trace.root.child("parse", category="parse", sql=canonical)
         plan, plan_was_cached = self._plan_for(statement, canonical)
-        plan_span = None
         if trace is not None:
-            plan_span = trace.root.child("plan", category="plan", cached=plan_was_cached)
-        if plan_span is not None:
-            plan_span.set(
+            trace.root.child(
+                "plan",
+                category="plan",
+                cached=plan_was_cached,
                 assembly_site=plan.assembly_site,
                 fetches=len(plan.fetches),
                 bind_joins=len(plan.bind_joins),
@@ -731,17 +734,9 @@ class FederatedEngine:
         try:
             result = self.execute_plan(plan, trace=trace)
         except EIIError:
-            if self.telemetry.enabled:
-                self.telemetry.on_query("error")
-                self.telemetry.tick(self.clock())
+            # the trace stays unfinished, as the query stopped
+            self._finish_query("error", None, None, tracer)
             raise
-        if trace is not None:
-            trace.root.set(
-                rows=len(result.relation),
-                elapsed_s=result.elapsed_seconds,
-                partial=result.is_partial,
-            )
-            tracer.finish(trace)
         if plan_was_cached:
             result.metrics.plan_cache_hits += 1
         # Partial answers must never be served later as if they were whole.
@@ -753,19 +748,17 @@ class FederatedEngine:
                 size_bytes=result.result_bytes,
                 cost_seconds=result.elapsed_seconds,
             )
-        if view_fallbacks:
-            # views that matched but were too dirty/stale to serve
-            result.metrics.view_fallbacks += len(view_fallbacks)
-            if self.telemetry.enabled:
-                for name in view_fallbacks:
-                    self.telemetry.on_view(name, "fallback")
-        if self.telemetry.enabled:
-            self.telemetry.on_query(
-                "partial" if result.is_partial else "ok",
-                seconds=result.elapsed_seconds,
-                rows=len(result.relation),
-            )
-            self.telemetry.tick(self.clock())
+        # views that matched but were too dirty/stale to serve
+        result.metrics.view_fallbacks += len(view_fallbacks)
+        self._finish_query(
+            "partial" if result.is_partial else "ok",
+            result,
+            trace,
+            tracer,
+            views=[(name, "fallback", 0.0) for name in view_fallbacks],
+            elapsed_s=result.elapsed_seconds,
+            partial=result.is_partial,
+        )
         if (
             use_views
             and self.view_selector is not None
@@ -822,15 +815,6 @@ class FederatedEngine:
         result.view = ViewProvenance(
             answer.view, answer.kind, answer.staleness_s, answer.fresh
         )
-        if trace is not None:
-            trace.root.set(
-                rows=len(answer.relation),
-                elapsed_s=result.elapsed_seconds,
-                view=answer.view,
-                view_fresh=answer.fresh,
-            )
-            tracer.finish(trace)
-            result.trace = trace
         # a stale serve must never be re-served as if it were the live answer
         if result_key is not None and answer.fresh:
             self.cache.put_result(
@@ -840,19 +824,43 @@ class FederatedEngine:
                 size_bytes=size,
                 cost_seconds=result.elapsed_seconds,
             )
-        if self.telemetry.enabled:
-            self.telemetry.on_view(
-                answer.view,
-                "hit" if answer.fresh else "stale",
-                staleness_s=answer.staleness_s,
-            )
-            self.telemetry.on_query(
-                "ok",
-                seconds=result.elapsed_seconds,
-                rows=len(answer.relation),
-            )
-            self.telemetry.tick(self.clock())
+        status = "hit" if answer.fresh else "stale"
+        self._finish_query(
+            "ok",
+            result,
+            trace,
+            tracer,
+            views=[(answer.view, status, answer.staleness_s)],
+            elapsed_s=result.elapsed_seconds,
+            view=answer.view,
+            view_fresh=answer.fresh,
+        )
         return result
+
+    def _finish_query(self, status, result, trace, tracer, views=(), **root_attrs):
+        """The one exit of a query: finish its trace, then report it.
+
+        Stamps the row count and `root_attrs` on the trace root, then
+        reports `views` (``(view, status, staleness_s)`` outcomes) and the
+        query's `status` (None: not reported) to telemetry. A failed query
+        has no `result`, and its trace stays unfinished.
+        """
+        if trace is not None and result is not None:
+            trace.root.set(rows=len(result.relation), **root_attrs)
+            tracer.finish(trace)
+            result.trace = trace
+        telemetry = self.telemetry
+        if status is None or not telemetry.enabled:
+            return
+        for view, view_status, staleness_s in views:
+            telemetry.on_view(view, view_status, staleness_s=staleness_s)
+        if result is None:
+            telemetry.on_query(status)
+        else:
+            telemetry.on_query(
+                status, seconds=result.elapsed_seconds, rows=len(result.relation)
+            )
+        telemetry.tick(self.clock())
 
     def prepare(self, query: Union[str, Select, LogicalPlan]) -> FederatedPlan:
         """Plan a query — through the plan cache — without executing it.
@@ -926,7 +934,7 @@ class FederatedEngine:
                 source.name, plan.assembly_site, size, caps.wire_format
             )
             fetch_predictions.append(exec_s + transfer_s)
-        elapsed = parallel_makespan(fetch_predictions, self.parallel_workers)
+        elapsed = makespan(fetch_predictions, self.parallel_workers)
         elapsed += self._assembly_cost(plan.root)
         elapsed += self.network.transfer_seconds(
             plan.assembly_site, "client", plan.est_result_bytes
@@ -985,11 +993,9 @@ class FederatedEngine:
             )
 
     def execute_plan(self, plan: FederatedPlan, trace=None) -> FederatedResult:
-        owns_trace = False
-        if trace is None and self.tracer.enabled:
-            # direct execute_plan() callers still get traced
+        owns_trace = trace is None and self.tracer.enabled
+        if owns_trace:  # direct execute_plan() callers still get traced
             trace = self.tracer.begin("execute_plan")
-            owns_trace = True
         metrics = MetricsCollector(network=self.network)
         try:
             result = self._execute_plan(plan, metrics, trace)
@@ -999,11 +1005,10 @@ class FederatedEngine:
             if getattr(exc, "metrics", None) is None:
                 exc.metrics = metrics
             raise
-        if owns_trace and trace is not None:
-            trace.root.set(
-                rows=len(result.relation), elapsed_s=result.elapsed_seconds
+        if owns_trace:
+            self._finish_query(
+                None, result, trace, self.tracer, elapsed_s=result.elapsed_seconds
             )
-            self.tracer.finish(trace)
         return result
 
     def _execute_plan(
@@ -1018,7 +1023,7 @@ class FederatedEngine:
             if isinstance(node, (LogicalFetch, LogicalBindJoin)):
                 node.runtime = runtime
 
-        execute_span = None
+        execute_span = fetch_span = None
         if trace is not None:
             execute_span = trace.root.child("execute", category="execute")
             # Deterministic node tags tie spans to plan nodes (an id()-based
@@ -1027,16 +1032,13 @@ class FederatedEngine:
                 fetch_node._trace_tag = f"fetch[{i}]"
             for j, bind_node in enumerate(plan.bind_joins):
                 bind_node._trace_tag = f"bind[{j}]"
-
-        fetch_span = None
-        if execute_span is not None:
             fetch_span = execute_span.child(
                 "prefetch",
                 category="prefetch",
                 parallel_slots=self.parallel_workers,
             )
         fetch_seconds = self._prefetch(plan.fetches, runtime, metrics, fetch_span)
-        fetch_elapsed = parallel_makespan(fetch_seconds, self.parallel_workers)
+        fetch_elapsed = makespan(fetch_seconds, self.parallel_workers)
 
         # Mid-query re-optimization: the prefetched relations carry actual
         # cardinalities; when they contradict the estimates badly enough,
@@ -1059,21 +1061,19 @@ class FederatedEngine:
                 if execute_span is not None:
                     execute_span.event(
                         "plan.reoptimized",
-                        execute_span.offset_from(metrics),
+                        metrics.simulated_seconds,
                         worst_ratio=round(replan_report.worst_ratio, 3),
                         threshold=replan_report.threshold,
                         converted_bind_joins=replan_report.converted_bind_joins,
                     )
 
         after_fetch_work = metrics.simulated_seconds
-        assembly_span = None
-        if execute_span is not None:
-            assembly_span = execute_span.child(
-                "assembly", category="assembly", site=plan.assembly_site
-            )
-            runtime.span = assembly_span  # bind-join chunk spans attach here
         physical = self._local.lower(root)
         if execute_span is not None:
+            # bind-join chunk spans attach to the assembly span
+            runtime.span = execute_span.child(
+                "assembly", category="assembly", site=plan.assembly_site
+            )
             instrument_physical(physical)
         relation = physical.relation()
         # Bind joins and any late fetches executed serially during assembly.
@@ -1091,16 +1091,6 @@ class FederatedEngine:
             payload_bytes=size,
             description="final result to client",
         )
-        if execute_span is not None:
-            assembly_span.self_seconds = assembly_seconds
-            transfer_span = execute_span.child(
-                "final_transfer",
-                category="transfer",
-                rows=len(relation),
-                payload_bytes=size,
-                wire_bytes=metrics.wire_bytes - wire_before,
-            )
-            transfer_span.self_seconds = final_transfer
         elapsed = fetch_elapsed + serial_tail + assembly_seconds + final_transfer
         result = FederatedResult(relation, plan, metrics, fetch_seconds, elapsed)
         result.result_bytes = size
@@ -1108,8 +1098,15 @@ class FederatedEngine:
         result.completeness = runtime.report
         if self.resilience is not None:
             result.breaker_states = self.resilience.breaker_states()
-        if trace is not None:
-            result.trace = trace
+        if execute_span is not None:
+            runtime.span.self_seconds = assembly_seconds
+            execute_span.child(
+                "final_transfer",
+                category="transfer",
+                rows=len(relation),
+                payload_bytes=size,
+                wire_bytes=metrics.wire_bytes - wire_before,
+            ).self_seconds = final_transfer
             result.physical = physical
         return result
 
@@ -1163,19 +1160,13 @@ class FederatedEngine:
 
         def run_one(node: LogicalFetch, span=None):
             local = MetricsCollector(network=self.network)
+            observer = _FetchObserver(runtime, local, span)
             error = None
             try:
-                runtime.fetch(node, metrics=local, span=span)
+                runtime.fetch(node, observer)
             except Exception as exc:  # noqa: BLE001 - re-raised in order below
                 error = exc
-            finally:
-                if span is not None:
-                    span.self_seconds = local.simulated_seconds
-                    span.set(
-                        rows=local.rows_shipped,
-                        payload_bytes=local.payload_bytes,
-                        wire_bytes=local.wire_bytes,
-                    )
+            observer.close()
             return local, error
 
         outcomes: list = []

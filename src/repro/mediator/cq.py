@@ -197,25 +197,29 @@ def evaluate(cq: ConjunctiveQuery, database: dict) -> set:
     instances tests build.
     """
     results: set = set()
-    body = cq.body
-
-    def resolve(term, binding):
-        return binding.get(term, term) if isinstance(term, Var) else term
-
-    def recurse(index: int, binding: dict):
-        if index == len(body):
-            results.add(tuple(resolve(term, binding) for term in cq.head))
-            return
-        atom = body[index]
-        for row in database.get(atom.predicate, ()):
-            if len(row) != len(atom.terms):
-                continue
-            extended = _unify_row(atom.terms, row, binding)
-            if extended is not None:
-                recurse(index + 1, extended)
-
-    recurse(0, {})
+    _evaluate_from(cq, database, 0, {}, results)
     return results
+
+
+def _evaluate_from(cq, database, index: int, binding: dict, results: set) -> None:
+    # A module-level function rather than a self-referencing closure: the
+    # closure's cell would form a reference cycle per call, left for the
+    # cyclic garbage collector.
+    if index == len(cq.body):
+        results.add(
+            tuple(
+                binding.get(term, term) if isinstance(term, Var) else term
+                for term in cq.head
+            )
+        )
+        return
+    atom = cq.body[index]
+    for row in database.get(atom.predicate, ()):
+        if len(row) != len(atom.terms):
+            continue
+        extended = _unify_row(atom.terms, row, binding)
+        if extended is not None:
+            _evaluate_from(cq, database, index + 1, extended, results)
 
 
 def _unify_row(terms: Sequence, row: Sequence, binding: dict) -> Optional[dict]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.netsim.metrics import MetricsCollector
+from repro.telemetry.stats import percentile
 
 #: Outcome statuses (the full life cycle of a request).
 OK = "ok"
@@ -163,8 +164,6 @@ class WorkloadResult:
 
     def render(self) -> str:
         """Aligned per-tenant table plus the headline workload line."""
-        from repro.trace.scoreboard import percentile
-
         headers = [
             "tenant",
             "queries",

@@ -38,7 +38,6 @@ from typing import Optional
 
 from repro.cache import InFlightRegistry, fetch_key
 from repro.common.errors import AdmissionError, EIIError
-from repro.federation.engine import parallel_makespan
 from repro.netsim.metrics import MetricsCollector
 from repro.sched.request import (
     FAILED,
@@ -53,7 +52,7 @@ from repro.sched.request import (
 )
 from repro.sched.wfq import FairQueue
 from repro.telemetry.plane import resolve_telemetry
-from repro.trace.span import Trace
+from repro.trace.span import Trace, makespan
 
 
 @dataclass
@@ -339,7 +338,7 @@ class _RunState:
             )
             for node, duration in zip(fetches, durations)
         ]
-        fetch_elapsed = parallel_makespan(durations, self.engine.parallel_workers)
+        fetch_elapsed = makespan(durations, self.engine.parallel_workers)
         assembly_s = max(0.0, result.elapsed_seconds - fetch_elapsed)
         return tasks, assembly_s
 

@@ -40,10 +40,11 @@ from repro.sql.lexer import Token, tokenize
 
 _COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
-#: Deepest nesting of parentheses, function arguments, IN lists and CASE
-#: parts the parser accepts (the grammar has no subqueries). Each level
-#: costs this recursive-descent parser eight or nine Python frames, so the
-#: limit refuses deeper text with a `ParseError` before the interpreter's
+#: Deepest nesting of parentheses, function arguments, IN lists, CASE
+#: parts and prefix NOT / unary minus operators the parser accepts (the
+#: grammar has no subqueries). A parenthesized level costs this
+#: recursive-descent parser eight or nine Python frames, so the limit
+#: refuses deeper text with a `ParseError` before the interpreter's
 #: recursion limit (1000 frames by default) would raise `RecursionError`.
 MAX_NESTING_DEPTH = 100
 
@@ -308,18 +309,25 @@ class _Parser:
 
         Parentheses, function arguments, IN lists and CASE parts all come
         back here, so `depth` counts how deeply they nest (0 at statement
-        level). The check costs no stack frame of its own.
+        level); `parse_not` and `parse_unary` count each prefix operator
+        too. The check costs no lasting stack frame.
+        """
+        self.descend()
+        left = self.parse_and()
+        while self.accept_keyword("OR"):
+            left = BinaryOp("OR", left, self.parse_and())
+        self.depth -= 1
+        return left
+
+    def descend(self) -> None:
+        """Enter one more nesting level, refusing text past the limit.
+
+        A `ParseError` abandons the whole parse, so callers leave a level
+        with a plain ``depth -= 1`` on their normal return path.
         """
         if self.depth > MAX_NESTING_DEPTH:
             self.fail(f"expression nested more than {MAX_NESTING_DEPTH} levels deep")
         self.depth += 1
-        try:
-            left = self.parse_and()
-            while self.accept_keyword("OR"):
-                left = BinaryOp("OR", left, self.parse_and())
-            return left
-        finally:
-            self.depth -= 1
 
     def parse_and(self) -> Expr:
         left = self.parse_not()
@@ -328,9 +336,12 @@ class _Parser:
         return left
 
     def parse_not(self) -> Expr:
-        if self.accept_keyword("NOT"):
-            return UnaryOp("NOT", self.parse_not())
-        return self.parse_comparison()
+        if not self.accept_keyword("NOT"):
+            return self.parse_comparison()
+        self.descend()  # a prefix operator nests like a parenthesis
+        operand = self.parse_not()
+        self.depth -= 1
+        return UnaryOp("NOT", operand)
 
     def parse_comparison(self) -> Expr:
         left = self.parse_additive()
@@ -383,7 +394,9 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         if self.accept_op("-"):
+            self.descend()
             operand = self.parse_unary()
+            self.depth -= 1
             if isinstance(operand, Literal) and isinstance(operand.value, (int, float)):
                 return Literal(-operand.value)
             return UnaryOp("-", operand)

@@ -4,15 +4,18 @@
 *observation* — the plane never changes behavior, so an engine with a
 plane attached executes byte-for-byte the same queries as one without.
 The default is `NULL_TELEMETRY` (mirroring `NullTracer`): ``enabled`` is
-False, every hook is a no-op, and every call site in the engine guards on
-``telemetry.enabled`` so the disabled path does zero extra work.
+False and every hook is a no-op. The engine calls the hooks from one
+fan-out per grain — a component fetch's `_FetchObserver` and the query
+exit `_finish_query` — and only the query exit checks ``enabled``.
 
 Hooked layers and what they report:
 
-* `FederatedEngine` / `_FetchRuntime` — per-source fetch outcomes,
-  latencies, bytes, cache hits/misses; per-query status and latency;
-* `ResilienceManager` — retries, source failures, breaker short-circuits
-  and breaker state transitions (which feed the health model directly);
+* `FederatedEngine` — one `on_fetch` per component fetch (its cache hit,
+  or its cache miss together with the remote outcome), the retries,
+  source failures and breaker short-circuits of its attempts; per-query
+  status and latency;
+* `ResilienceManager` — breaker state transitions (which feed the health
+  model directly);
 * `WorkloadScheduler` — arrivals, queue waits, sheds/rejections and the
   per-tenant `QueryOutcome` stream that drives the SLO tracker.
 
@@ -123,26 +126,36 @@ class TelemetryPlane:
         payload_bytes: int = 0,
         wire_bytes: int = 0,
         cache: str = "",
-        ok: bool = True,
-        kind: str = "fetch",
+        ok: Optional[bool] = True,
+        served_by: Optional[str] = None,
     ) -> None:
-        """One component fetch's outcome (remote call or cache hit)."""
+        """One component fetch: its fetch-cache lookup and remote outcome.
+
+        `cache` is "hit" (served from the fetch cache, nothing else
+        happened), "miss" (the lookup missed before the remote call) or ""
+        (no lookup). `ok` is the remote outcome, or None when it was
+        reported elsewhere (a resilience manager reports each failed
+        attempt). The outcome counts against `served_by`, the replica that
+        answered after a failover, defaulting to `source`.
+        """
         name = source.lower()
         with self._lock:
-            window = self._window(name)
             if cache == "hit":
                 self.registry.counter(
                     "eii_cache_hits_total", "per-source fetch-cache hits", source=name
                 ).inc()
-                window.cache_hits += 1
+                self._window(name).cache_hits += 1
                 return
             if cache == "miss":
                 self.registry.counter(
                     "eii_cache_misses_total", "per-source fetch-cache misses", source=name
                 ).inc()
-                window.cache_misses += 1
-                # the remote call that follows reports separately
+                self._window(name).cache_misses += 1
+            if ok is None:
                 return
+            if served_by is not None:
+                name = served_by.lower()
+            window = self._window(name)
             outcome = "ok" if ok else "error"
             self.registry.counter(
                 "eii_fetches_total",

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# The hardened shared implementation (empty, single-sample and clamped
-# fraction edge cases covered by direct unit tests). Re-exported here
-# because scoreboard consumers historically import it from this module.
 from repro.telemetry.stats import percentile
 
 #: Span categories that represent remote work attributable to one source.

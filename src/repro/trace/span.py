@@ -23,7 +23,12 @@ from typing import Iterator, Optional
 
 
 def makespan(durations: list, workers: int) -> float:
-    """List-scheduled elapsed time of `durations` over `workers` slots."""
+    """Elapsed time of running `durations` on `workers` parallel slots.
+
+    Simple list scheduling in submission order — the policy the engine's
+    prefetch pool uses — so the simulated clock, the predicted elapsed
+    time and a span's parallel layout all match what the pool overlaps.
+    """
     if not durations:
         return 0.0
     slots = [0.0] * max(1, min(workers, len(durations)))
@@ -47,9 +52,6 @@ class Span:
 
     `self_seconds` is the span's own simulated work; children add theirs
     on top (serially, or in parallel lanes when `parallel_slots` is set).
-    `clock_base` is scratch state for event offsets: callers record their
-    collector's `simulated_seconds` here on entry, so later events can be
-    placed at ``collector.simulated_seconds - clock_base``.
     """
 
     __slots__ = (
@@ -62,7 +64,6 @@ class Span:
         "parallel_slots",
         "start_s",
         "lane",
-        "clock_base",
     )
 
     def __init__(
@@ -81,7 +82,6 @@ class Span:
         self.parallel_slots = parallel_slots
         self.start_s = 0.0
         self.lane = 0
-        self.clock_base = 0.0
 
     # -- construction ------------------------------------------------------------
 
@@ -104,10 +104,6 @@ class Span:
         event = Event(name, max(0.0, offset_s), dict(attrs))
         self.events.append(event)
         return event
-
-    def offset_from(self, collector) -> float:
-        """Event offset for "now" per a collector's simulated clock."""
-        return max(0.0, collector.simulated_seconds - self.clock_base)
 
     # -- timing ------------------------------------------------------------------
 

@@ -9,6 +9,7 @@ every adaptive lever off is byte-identical to one built without the
 subsystem at all.
 """
 
+import gc
 import io
 
 import pytest
@@ -421,6 +422,28 @@ class TestMidQueryReplan:
         assert "bind join(s) -> hash join" in result.replan.describe()
         oracle = FederatedEngine(build_skewed_catalog(big_factor=1.0)).query(sql)
         assert result.relation.sorted().rows == oracle.relation.sorted().rows
+
+    def test_replanned_query_leaves_no_reference_cycles(self):
+        # Rebuilding the assembly tree must free the old and new plans by
+        # reference counting alone, not leave them to the cycle collector.
+        catalog = build_skewed_catalog(big_factor=0.01)
+        planner = FederatedPlanner(catalog, max_bind_keys=50)
+        policy = AdaptivePolicy(lpt=False, feedback=False)  # replans every run
+        engine = FederatedEngine(catalog, EngineConfig(planner=planner, adaptive=AdaptiveContext(policy), parallel_workers=1))
+        sql = (
+            "SELECT a.total, b.amount FROM orders_big a "
+            "JOIN orders_small b ON a.cust_id = b.cust_id"
+        )
+        engine.query(sql)
+        gc.collect()
+        gc.disable()
+        try:
+            result = engine.query(sql)
+            assert result.replan.converted_bind_joins == 1
+            del result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_accurate_estimates_leave_plan_alone(self):
         engine = FederatedEngine(build_skewed_catalog(big_factor=1.0), EngineConfig(# truthful statistics

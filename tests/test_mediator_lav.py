@@ -1,5 +1,7 @@
 """Conjunctive-query and MiniCon tests, including hypothesis properties."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,20 @@ class TestContainment:
         loose = parse_cq("q(X) :- r(X, Y)")
         assert is_contained_in(tight, loose)
         assert not is_contained_in(loose, tight)
+
+    def test_containment_check_leaves_no_reference_cycles(self):
+        # Evaluation over the canonical database must free its bindings by
+        # reference counting alone, not leave them to the cycle collector.
+        tight = parse_cq("q(X) :- r(X, Y), r(Y, X)")
+        loose = parse_cq("q(X) :- r(X, Y)")
+        is_contained_in(tight, loose)
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_contained_in(tight, loose)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_constant_specialization(self):
         tight = parse_cq("q(X) :- r(X, 'a')")

@@ -267,6 +267,19 @@ class TestNestingLimit:
             parse_select("SELECT a FROM t WHERE " + text)
         assert isinstance(info.value, EIIError)
 
+    @pytest.mark.parametrize("prefix", ["NOT ", "- "], ids=["not", "unary_minus"])
+    def test_long_prefix_operator_run_is_a_parse_error(self, prefix):
+        with pytest.raises(ParseError, match="nested more than") as info:
+            parse_select("SELECT a FROM t WHERE " + prefix * 1000 + "a = 1")
+        assert isinstance(info.value, EIIError)
+
+    @pytest.mark.parametrize("prefix", ["NOT ", "- "], ids=["not", "unary_minus"])
+    def test_fifty_prefix_operators_parse_and_answer(self, engine, prefix):
+        # an even run cancels out: the predicate is id = 3
+        sql = "SELECT id FROM customers WHERE " + prefix * 50 + "id = 3"
+        assert engine.query(sql).rows == [(3,)]
+        assert build_engine().query(sql).relation.rows == [(3,)]
+
     def test_one_level_past_the_limit_is_refused(self):
         with pytest.raises(ParseError):
             parse_expression("(" * (MAX_NESTING_DEPTH + 1) + "1" + ")" * (MAX_NESTING_DEPTH + 1))
